@@ -10,12 +10,13 @@ all: vet test race build
 # platforms, so the build-tagged mmsg files are vetted for Linux and
 # for the portable fallback), a full build, the test suite under the
 # race detector, the pool-ownership checker over the packet-buffer
-# packages, a bounded differential-fuzz pass over the LPM lookup, a
-# serve-path benchmark smoke run that catches hit-path regressions
-# without waiting for a full bench sweep, a small-N X8 sweep checking
-# the bounded-load ring still beats the plain ring, and a small-N X9
-# run checking mesh peer steering still serves flash-crowd misses
-# from sibling MECs.
+# packages, bounded differential-fuzz passes over the LPM lookup and
+# the cache-hit wire patch, a bounded fuzz pass over the mesh datagram
+# decoders, a serve-path benchmark smoke run that catches hit-path
+# regressions without waiting for a full bench sweep, a small-N X8
+# sweep checking the bounded-load ring still beats the plain ring,
+# and a small-N X9 run checking mesh peer steering still serves
+# flash-crowd misses from sibling MECs.
 ci:
 	GOOS=linux $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
@@ -24,6 +25,8 @@ ci:
 	$(GO) test -race ./...
 	$(GO) test -tags pooldebug ./internal/dnswire/ ./internal/dnsserver/
 	$(GO) test -run xxx -fuzz FuzzLPMLookup -fuzztime 5s ./internal/lpm/
+	$(GO) test -run xxx -fuzz FuzzHitPatch -fuzztime 5s ./internal/dnswire/
+	$(GO) test -run xxx -fuzz FuzzMeshWire -fuzztime 5s ./internal/mesh/
 	$(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|ServeUDPParallelSockets|RouterWithRegistry|LPMLookup|RingOwners|RoutePeerLookup' -benchtime=100x -benchmem .
 	$(GO) run ./cmd/experiments -x loadbalance -ues 20000 -requests 1000
 	$(GO) run ./cmd/experiments -x mesh -requests 200
@@ -53,7 +56,7 @@ bench:
 # contention) and the PR-7 LPM and PR-6 hit-path, batching,
 # multi-socket, and routing numbers kept for continuity.
 bench-json:
-	( $(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|DNSMessageCache$$|ServeUDPParallelSockets|RouterWithRegistry|RouterPolicyAvailability|LPMLookup|RingOwners|RoutePeerLookup' -benchmem -count=5 . ; \
+	( $(GO) test -run xxx -bench='ServeUDPHit|ServeUDPBatch|DNSMessageCache(/|$$)|ServeUDPParallelSockets|RouterWithRegistry|RouterPolicyAvailability|LPMLookup|RingOwners|RoutePeerLookup' -benchmem -count=5 . ; \
 	  $(GO) test -run xxx -bench='ZoneLookupParallel|StubMatchParallel' -benchmem -count=5 -cpu 1,4 ./internal/dnsserver/ ) \
 		| $(GO) run ./cmd/benchjson > BENCH_pr10.json
 	cat BENCH_pr10.json

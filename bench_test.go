@@ -841,8 +841,11 @@ func (w *wireBenchWriter) WriteMsg(m *dnswire.Message) error {
 	return nil
 }
 
+// BenchmarkDNSMessageCache measures pure hit traffic through the wire
+// writer a socket would use, per query shape: plain, EDNS0, and
+// EDNS0 with a /24 client subnet whose answer echoes it. Every shape
+// is served from the same stored wire image path.
 func BenchmarkDNSMessageCache(b *testing.B) {
-	b.ReportAllocs()
 	clock := &vclock.Fixed{}
 	cache := dnsserver.NewCache(clock)
 	backend := dnsserver.HandlerFunc(func(ctx context.Context, w dnsserver.ResponseWriter, r *dnsserver.Request) (dnswire.Rcode, error) {
@@ -852,34 +855,55 @@ func BenchmarkDNSMessageCache(b *testing.B) {
 			Hdr:  dnswire.RRHeader{Name: r.Name(), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300},
 			Addr: netip.MustParseAddr("192.0.2.1"),
 		}}
+		if ecs, ok := r.Msg.ECS(); ok {
+			echo := *ecs
+			echo.ScopePrefix = ecs.SourcePrefix
+			opt := m.SetEDNS(dnswire.DefaultEDNSSize)
+			opt.Options = append(opt.Options, &echo)
+		}
 		return m.Rcode, w.WriteMsg(m)
 	})
 	chain := dnsserver.Chain(cache, benchPlugin{backend})
-	reqs := make([]*dnsserver.Request, 64)
-	for i := range reqs {
-		q := new(dnswire.Message)
-		q.SetQuestion(fmt.Sprintf("host-%d.bench.test.", i), dnswire.TypeA)
-		reqs[i] = &dnsserver.Request{Msg: q}
-	}
-	// Warm every entry, then measure pure hit traffic through the wire
-	// fast path a socket writer would take.
-	w := new(wireBenchWriter)
-	for i := range reqs {
-		w.written = false
-		if rc := dnsserver.ResolveTo(context.Background(), chain, w, reqs[i]); rc != dnswire.RcodeSuccess {
-			b.Fatal("warm-up rcode")
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.written = false
-		if rc := dnsserver.ResolveTo(context.Background(), chain, w, reqs[i%len(reqs)]); rc != dnswire.RcodeSuccess {
-			b.Fatal("bad rcode")
-		}
-	}
-	b.StopTimer()
-	if st := cache.Stats(); st.Hits == 0 {
-		b.Fatal("no cache hits recorded")
+	for _, shape := range []struct {
+		name string
+		edns func(q *dnswire.Message, i int)
+	}{
+		{"plain", func(*dnswire.Message, int) {}},
+		{"edns0", func(q *dnswire.Message, _ int) { q.SetEDNS(1232) }},
+		{"ecs", func(q *dnswire.Message, i int) {
+			opt := q.SetEDNS(1232)
+			opt.Options = append(opt.Options, dnswire.NewECSOption(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(i), 0}), 24)))
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			reqs := make([]*dnsserver.Request, 64)
+			for i := range reqs {
+				q := new(dnswire.Message)
+				q.SetQuestion(fmt.Sprintf("host-%d.bench.test.", i), dnswire.TypeA)
+				shape.edns(q, i)
+				reqs[i] = &dnsserver.Request{Msg: q}
+			}
+			w := new(wireBenchWriter)
+			for i := range reqs { // warm every entry
+				w.written = false
+				if rc := dnsserver.ResolveTo(context.Background(), chain, w, reqs[i]); rc != dnswire.RcodeSuccess {
+					b.Fatal("warm-up rcode")
+				}
+			}
+			hits := cache.Stats().Hits
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.written = false
+				if rc := dnsserver.ResolveTo(context.Background(), chain, w, reqs[i%len(reqs)]); rc != dnswire.RcodeSuccess {
+					b.Fatal("bad rcode")
+				}
+			}
+			b.StopTimer()
+			if got := cache.Stats().Hits - hits; got != uint64(b.N) {
+				b.Fatalf("%d of %d queries hit the cache", got, b.N)
+			}
+		})
 	}
 }
 

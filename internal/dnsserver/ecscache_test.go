@@ -3,7 +3,9 @@ package dnsserver
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,8 +60,8 @@ func TestCacheScopedAnswerSharedAcrossSiblings(t *testing.T) {
 	h := Chain(cache, backend)
 
 	resp := Resolve(context.Background(), h, ecsQueryFor("scoped.test.", "10.1.1.0/24"))
-	if backend.hits != 1 {
-		t.Fatalf("first query: backend hits = %d", backend.hits)
+	if backend.hits.Load() != 1 {
+		t.Fatalf("first query: backend hits = %d", backend.hits.Load())
 	}
 	ecs, ok := resp.ECS()
 	if !ok || ecs.ScopePrefix != 16 {
@@ -68,8 +70,8 @@ func TestCacheScopedAnswerSharedAcrossSiblings(t *testing.T) {
 
 	// Sibling /24 inside the same /16: served from the same entry.
 	resp = Resolve(context.Background(), h, ecsQueryFor("scoped.test.", "10.1.2.0/24"))
-	if backend.hits != 1 {
-		t.Errorf("sibling /24 went upstream: backend hits = %d, want 1", backend.hits)
+	if backend.hits.Load() != 1 {
+		t.Errorf("sibling /24 went upstream: backend hits = %d, want 1", backend.hits.Load())
 	}
 	ecs, ok = resp.ECS()
 	if !ok {
@@ -84,8 +86,8 @@ func TestCacheScopedAnswerSharedAcrossSiblings(t *testing.T) {
 
 	// A /24 in a different /16 is outside the stored scope: resolves.
 	Resolve(context.Background(), h, ecsQueryFor("scoped.test.", "10.2.1.0/24"))
-	if backend.hits != 2 {
-		t.Errorf("different /16: backend hits = %d, want 2", backend.hits)
+	if backend.hits.Load() != 2 {
+		t.Errorf("different /16: backend hits = %d, want 2", backend.hits.Load())
 	}
 
 	s := cache.Stats()
@@ -107,14 +109,14 @@ func TestCacheScopeZeroSharedGlobally(t *testing.T) {
 	Resolve(context.Background(), h, ecsQueryFor("zero.test.", "10.1.0.0/24"))
 	Resolve(context.Background(), h, ecsQueryFor("zero.test.", "172.16.0.0/24"))
 	Resolve(context.Background(), h, ecsQueryFor("zero.test.", "192.0.2.0/24"))
-	if backend.hits != 1 {
-		t.Errorf("scope-0 answer fragmented: backend hits = %d, want 1", backend.hits)
+	if backend.hits.Load() != 1 {
+		t.Errorf("scope-0 answer fragmented: backend hits = %d, want 1", backend.hits.Load())
 	}
 	// A non-ECS query for the same name keys separately from scope-0
 	// ECS entries (the ECS suffix is part of the key).
 	Resolve(context.Background(), h, queryFor("zero.test."))
-	if backend.hits != 2 {
-		t.Errorf("plain query: backend hits = %d, want 2", backend.hits)
+	if backend.hits.Load() != 2 {
+		t.Errorf("plain query: backend hits = %d, want 2", backend.hits.Load())
 	}
 }
 
@@ -127,12 +129,12 @@ func TestCacheScopedV6(t *testing.T) {
 	h := Chain(cache, backend)
 	Resolve(context.Background(), h, ecsQueryFor("six.test.", "2001:db8:7:1::/64"))
 	Resolve(context.Background(), h, ecsQueryFor("six.test.", "2001:db8:7:2::/64"))
-	if backend.hits != 1 {
-		t.Errorf("sibling /64 inside the /48 scope went upstream: hits = %d", backend.hits)
+	if backend.hits.Load() != 1 {
+		t.Errorf("sibling /64 inside the /48 scope went upstream: hits = %d", backend.hits.Load())
 	}
 	Resolve(context.Background(), h, ecsQueryFor("six.test.", "2001:db8:8:1::/64"))
-	if backend.hits != 2 {
-		t.Errorf("different /48: hits = %d, want 2", backend.hits)
+	if backend.hits.Load() != 2 {
+		t.Errorf("different /48: hits = %d, want 2", backend.hits.Load())
 	}
 }
 
@@ -145,78 +147,141 @@ func TestCacheScopeNeverExceedsDisclosure(t *testing.T) {
 	h := Chain(cache, backend)
 	Resolve(context.Background(), h, ecsQueryFor("narrow.test.", "10.1.1.0/24"))
 	Resolve(context.Background(), h, ecsQueryFor("narrow.test.", "10.1.0.0/16"))
-	if backend.hits != 2 {
-		t.Errorf("/16 disclosure used a /24-scoped entry: hits = %d, want 2", backend.hits)
+	if backend.hits.Load() != 2 {
+		t.Errorf("/16 disclosure used a /24-scoped entry: hits = %d, want 2", backend.hits.Load())
 	}
 }
 
-// ECS responses must be byte-identical whether served through a
-// wire-capable writer or the plain decode path — and must never take
-// the raw wire-patch fast path, which cannot rewrite the scope echo.
+// ECS hits — live, stale, and a coalesced stale waiter — are served
+// from the stored wire image with the echo rewritten for each query:
+// the bytes equal the decode → age/clamp → echo → repack reference for
+// every writer, whether the query's source length matches the one that
+// stored the entry (/24) or not, so the option must be spliced (/16,
+// /32) or only its source prefix rewritten (/20).
 func TestECSWireAndDecodePathsAgree(t *testing.T) {
 	clock := &vclock.Fixed{}
 	cache := NewCache(clock)
-	backend := &countingPlugin{h: ecsAnswerHandler("192.0.2.9", 16)}
+	cache.MaxStale = time.Hour
+	cache.StaleTTL = 5 * time.Second
+	var failing atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	answer := ecsAnswerHandler("192.0.2.9", 16)
+	backend := &countingPlugin{h: HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		if failing.Load() {
+			if r.Msg.ID == 0x1EAD {
+				close(entered)
+				<-release
+			}
+			return dnswire.RcodeServerFailure, errors.New("origin down")
+		}
+		return answer.ServeDNS(ctx, w, r)
+	})}
 	h := Chain(cache, backend)
 
-	warm := ecsQueryFor("wireecs.test.", "10.1.1.0/24")
-	if resp := Resolve(context.Background(), h, warm); resp.Rcode != dnswire.RcodeSuccess {
-		t.Fatalf("warm rcode = %v", resp.Rcode)
+	stored := Resolve(context.Background(), h, ecsQueryFor("wireecs.test.", "10.1.1.0/24"))
+	if stored.Rcode != dnswire.RcodeSuccess {
+		t.Fatalf("warm rcode = %v", stored.Rcode)
 	}
-	clock.Advance(10 * time.Second)
-
-	q := func() *Request {
-		r := ecsQueryFor("wireecs.test.", "10.1.2.0/24") // sibling: scoped hit
-		r.Msg.ID = 0x7A7A
+	q := func(prefix string, id uint16) *Request {
+		r := ecsQueryFor("wireecs.test.", prefix)
+		r.Msg.ID = id
 		return r
 	}
+	prefixes := []string{"10.1.2.0/24", "10.1.0.0/16", "10.1.16.0/20", "10.1.7.9/32"}
 
-	fast := &wireSink{}
-	if rcode := ResolveTo(context.Background(), h, fast, q()); rcode != dnswire.RcodeSuccess {
-		t.Fatalf("wire-writer hit rcode = %v", rcode)
+	clock.Advance(10 * time.Second)
+	for _, prefix := range prefixes {
+		for _, kind := range writerKinds {
+			r := q(prefix, 0x7A7A)
+			if got, want := serveVia(t, h, kind, r), referenceHit(t, stored, r, ageBy(10)); !bytes.Equal(got, want) {
+				t.Fatalf("live %s %s: hit differs from the reference:\n% x\n% x", prefix, kind, got, want)
+			}
+		}
 	}
-	if fast.wire != nil {
-		t.Fatal("ECS hit took the wire patch path; must decode to rewrite the echo")
+	if backend.hits.Load() != 1 {
+		t.Fatalf("backend hits = %d, want 1: every query above is a scoped hit", backend.hits.Load())
 	}
-	if fast.msg == nil {
-		t.Fatal("wire-writer hit wrote nothing")
-	}
-	fromWireWriter, err := fast.msg.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	slow := &recorder{}
-	if _, err := h.ServeDNS(context.Background(), slow, q()); err != nil {
-		t.Fatal(err)
-	}
-	if !slow.written {
-		t.Fatal("decode hit wrote nothing")
-	}
-	fromDecode, err := slow.msg.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromWireWriter, fromDecode) {
-		t.Fatalf("ECS response differs between writers:\n% x\n% x", fromWireWriter, fromDecode)
-	}
-
 	var got dnswire.Message
-	if err := got.Unpack(fromDecode); err != nil {
+	if err := got.Unpack(serveVia(t, h, "wire", q("10.1.2.0/24", 1))); err != nil {
 		t.Fatal(err)
 	}
 	ecs, ok := got.ECS()
 	if !ok {
 		t.Fatal("served response lost ECS")
 	}
-	if want := netip.MustParseAddr("10.1.2.0"); ecs.Address != want || ecs.ScopePrefix != 16 {
+	if want := netip.MustParseAddr("10.1.2.0"); ecs.Address != want || ecs.SourcePrefix != 24 || ecs.ScopePrefix != 16 {
 		t.Errorf("echo = %s/%d/%d, want %s/24/16", ecs.Address, ecs.SourcePrefix, ecs.ScopePrefix, want)
 	}
 	if len(got.Answers) != 1 || got.Answers[0].Header().TTL != 20 {
 		t.Errorf("answers = %v, want one A aged to TTL 20", got.Answers)
 	}
-	if backend.hits != 1 {
-		t.Errorf("backend hits = %d, want 1", backend.hits)
+
+	// Past expiry with the origin down every query is a stale serve,
+	// TTLs clamped to StaleTTL.
+	clock.Advance(30 * time.Second)
+	failing.Store(true)
+	for _, prefix := range prefixes {
+		for _, kind := range writerKinds {
+			r := q(prefix, 0x5A1E)
+			if got, want := serveVia(t, h, kind, r), referenceHit(t, stored, r, clampTo(5)); !bytes.Equal(got, want) {
+				t.Fatalf("stale %s %s: serve differs from the reference:\n% x\n% x", prefix, kind, got, want)
+			}
+		}
+	}
+
+	// A waiter coalesced on a refill that fails gets the stale answer,
+	// restamped for its own query.
+	leader := make(chan []byte)
+	go func() {
+		sink := &wireSink{}
+		ResolveTo(context.Background(), h, sink, q("10.1.2.0/24", 0x1EAD))
+		leader <- sink.wire
+	}()
+	<-entered
+	coalesced := cache.Stats().Coalesced
+	waiter := make(chan []byte)
+	wr := q("10.1.2.0/24", 0x3A17)
+	wr.Msg.RecursionDesired = true
+	go func() {
+		sink := &wireSink{}
+		ResolveTo(context.Background(), h, sink, wr)
+		waiter <- sink.wire
+	}()
+	waitFor(t, 5*time.Second, func() bool { return cache.Stats().Coalesced > coalesced })
+	close(release)
+	if got, want := <-waiter, referenceHit(t, stored, wr, clampTo(5)); !bytes.Equal(got, want) {
+		t.Fatalf("stale waiter differs from the reference:\n% x\n% x", got, want)
+	}
+	if got, want := <-leader, referenceHit(t, stored, q("10.1.2.0/24", 0x1EAD), clampTo(5)); !bytes.Equal(got, want) {
+		t.Fatalf("stale leader differs from the reference:\n% x\n% x", got, want)
+	}
+}
+
+// An answer with records after its OPT is cached with OPT moved to
+// the end of the additional section, so the ECS echo can be resized;
+// the answer the client first got keeps its original order.
+func TestCacheStoresOPTLast(t *testing.T) {
+	glue := &dnswire.A{Hdr: dnswire.RRHeader{Name: "ns.optlast.test.", Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 30}, Addr: netip.MustParseAddr("192.0.2.53")}
+	answer := ecsAnswerHandler("192.0.2.9", 16)
+	backend := pluginize(HandlerFunc(func(ctx context.Context, w ResponseWriter, r *Request) (dnswire.Rcode, error) {
+		rec := &recorder{}
+		if _, err := answer.ServeDNS(ctx, rec, r); err != nil {
+			return dnswire.RcodeServerFailure, err
+		}
+		rec.msg.Additionals = append(rec.msg.Additionals, glue) // OPT first
+		return rec.msg.Rcode, w.WriteMsg(rec.msg)
+	}))
+	h := Chain(NewCache(&vclock.Fixed{}), backend)
+
+	first := Resolve(context.Background(), h, ecsQueryFor("optlast.test.", "10.1.1.0/24"))
+	if len(first.Additionals) != 2 || first.Additionals[1] != glue {
+		t.Fatalf("miss answer additionals = %v, want OPT then glue", first.Additionals)
+	}
+	stored := *first
+	stored.Additionals = []dnswire.RR{glue, first.Additionals[0]}
+	q := ecsQueryFor("optlast.test.", "10.1.0.0/16")
+	if got, want := serveVia(t, h, "wire", q), referenceHit(t, &stored, q, ageBy(0)); !bytes.Equal(got, want) {
+		t.Fatalf("hit differs from the OPT-last reference:\n% x\n% x", got, want)
 	}
 }
 
@@ -248,7 +313,7 @@ func TestQueryECSNormalizedAtIngress(t *testing.T) {
 
 	// The clean form of the same disclosure hits the same entry.
 	Resolve(context.Background(), h, ecsQueryFor("norm.test.", "10.1.1.0/24"))
-	if backend.hits != 1 {
-		t.Errorf("normalized duplicate went upstream: hits = %d, want 1", backend.hits)
+	if backend.hits.Load() != 1 {
+		t.Errorf("normalized duplicate went upstream: hits = %d, want 1", backend.hits.Load())
 	}
 }

@@ -490,8 +490,8 @@ func TestCacheExpiredNotDoubleCounted(t *testing.T) {
 	if s.Hits != 0 {
 		t.Errorf("hits = %d", s.Hits)
 	}
-	if backend.hits != 2 {
-		t.Errorf("backend hits = %d, want 2", backend.hits)
+	if backend.hits.Load() != 2 {
+		t.Errorf("backend hits = %d, want 2", backend.hits.Load())
 	}
 }
 
@@ -564,8 +564,8 @@ func TestLoadShedBurstStraddlingWindow(t *testing.T) {
 	if admitted > 1 {
 		t.Errorf("second burst admitted %d queries across the boundary, want ≤1", admitted)
 	}
-	if backend.hits > 11 {
-		t.Errorf("backend saw %d queries from a 2x straddled burst", backend.hits)
+	if backend.hits.Load() > 11 {
+		t.Errorf("backend saw %d queries from a 2x straddled burst", backend.hits.Load())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,13 +16,13 @@ import (
 
 // countingPlugin counts how often the chain reaches it.
 type countingPlugin struct {
-	hits int
+	hits atomic.Int64
 	h    Handler
 }
 
 func (c *countingPlugin) Name() string { return "counting" }
 func (c *countingPlugin) ServeDNS(ctx context.Context, w ResponseWriter, r *Request, next Handler) (dnswire.Rcode, error) {
-	c.hits++
+	c.hits.Add(1)
 	if c.h != nil {
 		return c.h.ServeDNS(ctx, w, r)
 	}
@@ -50,8 +51,8 @@ func TestChainOrderAndFallthrough(t *testing.T) {
 	p1 := &countingPlugin{}
 	p2 := &countingPlugin{h: answerHandler("192.0.2.1")}
 	resp := Resolve(context.Background(), Chain(p1, p2), queryFor("x.test."))
-	if p1.hits != 1 || p2.hits != 1 {
-		t.Errorf("hits = %d, %d", p1.hits, p2.hits)
+	if p1.hits.Load() != 1 || p2.hits.Load() != 1 {
+		t.Errorf("hits = %d, %d", p1.hits.Load(), p2.hits.Load())
 	}
 	if len(resp.Answers) != 1 {
 		t.Errorf("answers = %d", len(resp.Answers))
@@ -80,12 +81,12 @@ func TestCacheHitAndTTLAging(t *testing.T) {
 	h := Chain(cache, backend)
 
 	r1 := Resolve(context.Background(), h, queryFor("cached.test."))
-	if len(r1.Answers) != 1 || backend.hits != 1 {
-		t.Fatalf("first: answers=%d hits=%d", len(r1.Answers), backend.hits)
+	if len(r1.Answers) != 1 || backend.hits.Load() != 1 {
+		t.Fatalf("first: answers=%d hits=%d", len(r1.Answers), backend.hits.Load())
 	}
 	clock.Advance(10 * time.Second)
 	r2 := Resolve(context.Background(), h, queryFor("cached.test."))
-	if backend.hits != 1 {
+	if backend.hits.Load() != 1 {
 		t.Fatalf("cache miss on second query")
 	}
 	if got := r2.Answers[0].Header().TTL; got != 20 {
@@ -105,7 +106,7 @@ func TestCacheExpiry(t *testing.T) {
 	Resolve(context.Background(), h, queryFor("exp.test."))
 	clock.Advance(31 * time.Second) // TTL is 30s
 	Resolve(context.Background(), h, queryFor("exp.test."))
-	if backend.hits != 2 {
+	if backend.hits.Load() != 2 {
 		t.Errorf("expired entry served from cache")
 	}
 }
@@ -118,8 +119,8 @@ func TestCacheNegative(t *testing.T) {
 	h := Chain(cache, backend, NewZonePlugin(z))
 	Resolve(context.Background(), h, queryFor("missing.neg.test."))
 	Resolve(context.Background(), h, queryFor("missing.neg.test."))
-	if backend.hits != 1 {
-		t.Errorf("negative response not cached: backend hits = %d", backend.hits)
+	if backend.hits.Load() != 1 {
+		t.Errorf("negative response not cached: backend hits = %d", backend.hits.Load())
 	}
 	if s := cache.Stats(); s.NegativeHits != 1 {
 		t.Errorf("negative hits = %d", s.NegativeHits)
@@ -139,8 +140,8 @@ func TestCacheECSFragmentation(t *testing.T) {
 	Resolve(context.Background(), h, ecsQueryFor("frag.test.", "10.1.0.0/24"))
 	Resolve(context.Background(), h, ecsQueryFor("frag.test.", "10.2.0.0/24"))
 	Resolve(context.Background(), h, ecsQueryFor("frag.test.", "10.1.0.0/24"))
-	if backend.hits != 2 {
-		t.Errorf("ECS fragmentation: backend hits = %d, want 2", backend.hits)
+	if backend.hits.Load() != 2 {
+		t.Errorf("ECS fragmentation: backend hits = %d, want 2", backend.hits.Load())
 	}
 }
 
@@ -156,8 +157,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// "a.t." should have been evicted.
 	Resolve(context.Background(), h, queryFor("a.t."))
-	if backend.hits != 6 {
-		t.Errorf("backend hits = %d, want 6 (a.t. evicted)", backend.hits)
+	if backend.hits.Load() != 6 {
+		t.Errorf("backend hits = %d, want 6 (a.t. evicted)", backend.hits.Load())
 	}
 	// One eviction for e.t. displacing a.t., one more when a.t. is
 	// re-stored at capacity.
@@ -174,7 +175,7 @@ func TestCacheFlush(t *testing.T) {
 	Resolve(context.Background(), h, queryFor("f.test."))
 	cache.Flush()
 	Resolve(context.Background(), h, queryFor("f.test."))
-	if backend.hits != 2 {
+	if backend.hits.Load() != 2 {
 		t.Error("flush did not clear cache")
 	}
 }
@@ -240,7 +241,7 @@ func TestForwardMatchScoping(t *testing.T) {
 	fwd := &Forward{Match: "scoped.test.", Client: &dnsclient.Client{}}
 	fallthroughHit := &countingPlugin{h: answerHandler("192.0.2.5")}
 	resp := Resolve(context.Background(), Chain(fwd, fallthroughHit), queryFor("other.example."))
-	if fallthroughHit.hits != 1 || len(resp.Answers) != 1 {
+	if fallthroughHit.hits.Load() != 1 || len(resp.Answers) != 1 {
 		t.Error("out-of-scope query did not fall through")
 	}
 }
@@ -259,16 +260,16 @@ func TestStubRoutesSubdomain(t *testing.T) {
 	if len(resp.Answers) != 1 || resp.Answers[0].(*dnswire.A).Addr.String() != "10.96.0.50" {
 		t.Fatalf("stub answer = %v", resp.Answers)
 	}
-	if other.hits != 0 {
+	if other.hits.Load() != 0 {
 		t.Error("stub query leaked to next plugin")
 	}
 	resp = Resolve(context.Background(), h, queryFor("elsewhere.example."))
-	if other.hits != 1 {
+	if other.hits.Load() != 1 {
 		t.Error("non-stub query did not fall through")
 	}
 	stub.Unroute("mycdn.ciab.test.")
 	Resolve(context.Background(), h, queryFor("video.mycdn.ciab.test."))
-	if other.hits != 2 {
+	if other.hits.Load() != 2 {
 		t.Error("unrouted stub domain still intercepted")
 	}
 }
@@ -371,8 +372,8 @@ func TestLoadShedThreshold(t *testing.T) {
 			refused++
 		}
 	}
-	if backend.hits != 5 || refused != 3 {
-		t.Errorf("hits=%d refused=%d", backend.hits, refused)
+	if backend.hits.Load() != 5 || refused != 3 {
+		t.Errorf("hits=%d refused=%d", backend.hits.Load(), refused)
 	}
 	// Window rolls over: budget resets.
 	clock.Advance(time.Second)
@@ -394,7 +395,7 @@ func TestLoadShedFallback(t *testing.T) {
 	h := Chain(ls, backend)
 	Resolve(context.Background(), h, queryFor("a.test."))
 	resp := Resolve(context.Background(), h, queryFor("b.test."))
-	if fallback.hits != 1 {
+	if fallback.hits.Load() != 1 {
 		t.Error("fallback not used")
 	}
 	if resp.Answers[0].(*dnswire.A).Addr.String() != "203.0.113.99" {
@@ -409,7 +410,7 @@ func TestLoadShedDisabled(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		Resolve(context.Background(), h, queryFor("x.test."))
 	}
-	if backend.hits != 100 {
+	if backend.hits.Load() != 100 {
 		t.Error("disabled loadshed dropped queries")
 	}
 }

@@ -33,10 +33,10 @@ func Attach(node *simnet.Node, h Handler, proc simnet.Sampler) {
 			Client:    netip.AddrPortFrom(dg.Client(), 0),
 			Transport: "sim",
 		}
-		resp := Resolve(context.Background(), h, req)
-		wire, err := resp.Pack()
-		if err != nil {
-			return
+		var out wireCapture
+		ResolveTo(context.Background(), h, &out, req)
+		if out.wire == nil {
+			return // the response did not pack
 		}
 		var procTime time.Duration
 		if proc != nil {
@@ -48,6 +48,40 @@ func Attach(node *simnet.Node, h Handler, proc simnet.Sampler) {
 			start = busyUntil // wait behind queued work
 		}
 		busyUntil = start + procTime
-		ctx.Reply(wire, busyUntil-now)
+		ctx.Reply(out.wire, busyUntil-now)
 	}))
+}
+
+// wireCapture is the ResponseWriter Attach resolves into: it keeps the
+// response packed, so a cache hit arrives as the patched stored image
+// rather than being decoded and packed again. Like the socket writers
+// it passes only the first response through.
+type wireCapture struct {
+	wire  []byte
+	wrote bool
+}
+
+// Written implements responseTracker.
+func (c *wireCapture) Written() bool { return c.wrote }
+
+// WireSize implements WireWriter: simnet datagrams carry any message.
+func (c *wireCapture) WireSize() int { return dnswire.MaxMessageSize }
+
+// WriteWire implements WireWriter.
+func (c *wireCapture) WriteWire(wire []byte) error {
+	if !c.wrote {
+		c.wire, c.wrote = append([]byte(nil), wire...), true
+	}
+	return nil
+}
+
+// WriteMsg implements ResponseWriter.
+func (c *wireCapture) WriteMsg(m *dnswire.Message) error {
+	if c.wrote {
+		return nil
+	}
+	c.wrote = true
+	var err error
+	c.wire, err = m.Pack()
+	return err
 }

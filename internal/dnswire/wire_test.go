@@ -31,10 +31,11 @@ func TestTTLOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, err := TTLOffsets(wire)
+	l, err := ParseLayout(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
+	offs := l.TTLs
 	// Three non-OPT records; the OPT TTL (extended rcode) is excluded.
 	if len(offs) != 3 {
 		t.Fatalf("got %d TTL offsets, want 3: %v", len(offs), offs)
@@ -54,10 +55,11 @@ func TestAgeTTLsMatchesDecodePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, err := TTLOffsets(wire)
+	l, err := ParseLayout(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
+	offs := l.TTLs
 	for _, age := range []uint32{0, 1, 59, 60, 61, 299, 1 << 30} {
 		patched := append([]byte(nil), wire...)
 		AgeTTLs(patched, offs, age)
@@ -129,26 +131,15 @@ func TestPatchReplyBits(t *testing.T) {
 	}
 }
 
-func TestWireRcode(t *testing.T) {
-	m := new(Message)
-	m.SetQuestion("x.test.", TypeA)
-	m.Response = true
-	m.Rcode = RcodeNameError
+func TestTTLOffsetsMalformed(t *testing.T) {
+	m := testResponse(t)
 	wire, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc := WireRcode(wire); rc != RcodeNameError {
-		t.Fatalf("WireRcode = %v, want NXDOMAIN", rc)
-	}
-	if rc := WireRcode(nil); rc != RcodeServerFailure {
-		t.Fatalf("WireRcode(nil) = %v, want SERVFAIL", rc)
-	}
-}
-
-func TestTTLOffsetsMalformed(t *testing.T) {
-	m := testResponse(t)
-	wire, err := m.Pack()
+	// A record after OPT would move when PatchECS resizes the option.
+	m.Additionals = append(m.Additionals, &A{Hdr: RRHeader{Name: "x.test.", Type: TypeA, Class: ClassINET, TTL: 5}, Addr: netip.MustParseAddr("192.0.2.8")})
+	afterOPT, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +147,11 @@ func TestTTLOffsetsMalformed(t *testing.T) {
 		nil,
 		wire[:8],
 		wire[:len(wire)-3], // truncated mid-record
+		append(wire, 0),    // trailing garbage
+		afterOPT,
 	} {
-		if _, err := TTLOffsets(bad); err == nil {
-			t.Errorf("TTLOffsets(%d bytes) accepted malformed input", len(bad))
+		if _, err := ParseLayout(bad); err == nil {
+			t.Errorf("ParseLayout(%d bytes) accepted malformed input", len(bad))
 		}
 	}
 }
@@ -183,10 +176,11 @@ func TestClampTTLs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, err := TTLOffsets(wire)
+	l, err := ParseLayout(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
+	offs := l.TTLs
 	ClampTTLs(wire, offs, 100)
 	var got Message
 	if err := got.Unpack(wire); err != nil {

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -139,4 +140,43 @@ func TestGenNewer(t *testing.T) {
 			t.Errorf("genNewer(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// FuzzMeshWire: the mesh datagram decoders read untrusted bytes from
+// peers. DecodeAnnounce and DecodeDigestAck must never panic, and
+// whatever they accept must encode back: an accepted announce to the
+// very same bytes (its format has exactly one encoding), an accepted
+// acknowledgement to one that decodes to the same generation.
+func FuzzMeshWire(f *testing.F) {
+	bitmap, k := testBitmap("seg-0001", "seg-0002")
+	if payload, err := EncodeAnnounce("mec-east", "10.1.0.5", 7, 2, 0.42, k, bitmap); err == nil {
+		f.Add(payload)
+	}
+	if payload, err := EncodeAnnounce("m", "", 1<<31, 0, 1, MaxDigestHashes, make([]byte, MinDigestBits/8)); err == nil {
+		f.Add(payload)
+	}
+	f.Add(EncodeDigestAck(42))
+	f.Add([]byte("DIGEST 4294967296"))
+	f.Add([]byte(AnnouncePrefix))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if a, err := DecodeAnnounce(data); err == nil {
+			bm := make([]byte, 0, len(a.Filter.words)*8)
+			for _, w := range a.Filter.words {
+				bm = binary.LittleEndian.AppendUint64(bm, w)
+			}
+			again, err := EncodeAnnounce(a.Site, a.Addr, a.Gen, a.Entries, a.Load, a.Filter.k, bm)
+			if err != nil {
+				t.Fatalf("decoded announce %+v does not encode: %v", a, err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("announce round trip changed the bytes:\n% x\n% x", data, again)
+			}
+		}
+		if gen, ok := DecodeDigestAck(data); ok {
+			if back, ok := DecodeDigestAck(EncodeDigestAck(gen)); !ok || back != gen {
+				t.Fatalf("ack generation %d round-trips to %d (ok=%v)", gen, back, ok)
+			}
+		}
+	})
 }
